@@ -512,6 +512,29 @@ let collection () =
         (t_scan /. t_filtered))
     patterns
 
+(* The static-slicing baseline the work-stealing engine replaced: Φ(u₁)
+   round-robin partitioned once (dense candidate regions spread across
+   domains), one domain per slice running the sequential search, no
+   rebalancing. Returns the match count. *)
+let search_static ~domains p g (space : Feasible.space) =
+  let cands = space.Feasible.candidates in
+  if Array.length cands = 0 || domains <= 1 then
+    (Search.run p g space).Search.n_found
+  else begin
+    let root = cands.(0) in
+    let n = Array.length root in
+    let slice b =
+      Array.init ((n - b + domains - 1) / domains) (fun i ->
+          root.((i * domains) + b))
+    in
+    List.init (min domains n) (fun b ->
+        Domain.spawn (fun () ->
+            let part = Array.copy cands in
+            part.(0) <- slice b;
+            (Search.run p g { Feasible.candidates = part }).Search.n_found))
+    |> List.fold_left (fun acc d -> acc + Domain.join d) 0
+  end
+
 (* Two workloads, two engines.  Balanced: PPI clique queries whose
    Φ(u₁) candidates carry comparable subtrees — static slicing is
    already fine there, and the work-stealing engine must not regress
@@ -524,7 +547,6 @@ let collection () =
    wall-clock columns are about overhead, not speedup). *)
 let parallel () =
   header "Parallel search: work-stealing vs static slicing";
-  let module Par = Gql_matcher.Parallel in
   let module Ws = Gql_matcher.Ws in
   let module M = Gql_obs.Metrics in
   let g, lidx, pidx = Lazy.force ppi_env in
@@ -557,8 +579,10 @@ let parallel () =
         in
         ms t /. float_of_int n_queries
       in
-      let ws d = cell (fun ~domains q g s -> Par.search ~domains q g s) d in
-      let st d = cell (fun ~domains q g s -> Par.search_static ~domains q g s) d in
+      let ws d =
+        cell (fun ~domains q g s -> (Ws.search ~domains q g s).Search.n_found) d
+      in
+      let st d = cell search_static d in
       let c1 = ws 1 and c2 = ws 2 and c4 = ws 4 and s4 = st 4 in
       row "%-8d %12.3f %12.3f %12.3f %12.3f\n" size c1 c2 c4 s4;
       emit_json
@@ -592,10 +616,10 @@ let parallel () =
   let reps = scale 10 30 in
   let expected = (Search.run hub_p hub_g hub_space).Search.n_found in
   let skew_cell engine domains =
-    let check (out : Search.outcome) =
-      if out.Search.n_found <> expected then begin
+    let check n_found =
+      if n_found <> expected then begin
         Printf.eprintf "FAIL: skewed run found %d matches, expected %d\n"
-          out.Search.n_found expected;
+          n_found expected;
         exit 1
       end
     in
@@ -608,10 +632,12 @@ let parallel () =
     in
     ms t /. float_of_int reps
   in
-  let ws_cell d = skew_cell (fun ~domains p g s -> Par.search ~domains p g s) d in
-  let st_cell d =
-    skew_cell (fun ~domains p g s -> Par.search_static ~domains p g s) d
+  let ws_cell d =
+    skew_cell
+      (fun ~domains p g s -> (Ws.search ~domains p g s).Search.n_found)
+      d
   in
+  let st_cell d = skew_cell search_static d in
   let s1 = st_cell 1 and s2 = st_cell 2 and s4 = st_cell 4 in
   let w1 = ws_cell 1 and w2 = ws_cell 2 and w4 = ws_cell 4 in
   (* counters from one instrumented 4-domain WS run: nonzero spawn and

@@ -38,72 +38,7 @@ let time f =
 
 (* --- JSON benchmark trajectory (--json FILE) --------------------------- *)
 
-(* A minimal JSON value and printer: the harness has no JSON dependency
-   and the BENCH_*.json files only need objects, arrays and numbers. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec write buf indent v =
-    let pad n = String.make n ' ' in
-    match v with
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      (* NaN/inf (e.g. a skipped step) have no JSON literal *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-    | Str s -> Buffer.add_string buf ("\"" ^ escape s ^ "\"")
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      Buffer.add_string buf "[";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf ("\n" ^ pad (indent + 2));
-          write buf (indent + 2) item)
-        items;
-      Buffer.add_string buf ("\n" ^ pad indent ^ "]")
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_string buf "{";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf ("\n" ^ pad (indent + 2) ^ "\"" ^ escape k ^ "\": ");
-          write buf (indent + 2) item)
-        fields;
-      Buffer.add_string buf ("\n" ^ pad indent ^ "}")
-
-  let to_string v =
-    let buf = Buffer.create 4096 in
-    write buf 0 v;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-end
+module Json = Gql_obs.Json
 
 (* experiments append (name, summary) pairs as they run; [write_json]
    dumps them at exit when --json was given *)
@@ -121,5 +56,6 @@ let write_json ~mode file =
   in
   let oc = open_out file in
   output_string oc (Json.to_string doc);
+  output_char oc '\n';
   close_out oc
 

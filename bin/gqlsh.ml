@@ -24,6 +24,7 @@ open Gql_core
 open Gql_graph
 module Budget = Gql_matcher.Budget
 module View = Gql_exec.View
+module Json = Gql_obs.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -313,22 +314,6 @@ let split_batch src =
   in
   List.rev (finish acc cur)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
     verbose =
   guarded (fun () ->
@@ -384,27 +369,37 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
           | Service.Rejected _ -> prefer 124
           | Service.Failed t -> prefer (Error.exit_code t));
           if json then
-            let common =
-              Printf.sprintf "\"id\":%d,\"yields\":%d,\"ms\":%.3f"
-                o.Service.o_id o.Service.o_yields o.Service.o_wall_ms
+            let fields =
+              match o.Service.o_status with
+              | Service.Done r ->
+                [
+                  ("status", Json.Str "ok");
+                  ( "stopped",
+                    Json.Str (Budget.stop_reason_to_string r.Eval.stopped) );
+                  ("returned", Json.Int (List.length (Eval.returned r)));
+                  ("vars", Json.Int (List.length r.Eval.vars));
+                  ("writes", Json.Int r.Eval.writes);
+                ]
+              | Service.Rejected reason ->
+                [
+                  ("status", Json.Str "rejected");
+                  ("reason", Json.Str (Budget.stop_reason_to_string reason));
+                ]
+              | Service.Failed t ->
+                [
+                  ("status", Json.Str "error");
+                  ("error", Json.Str (Error.to_string t));
+                ]
             in
-            match o.Service.o_status with
-            | Service.Done r ->
-              Printf.printf
-                "{%s,\"status\":\"ok\",\"stopped\":%S,\"returned\":%d,\"vars\":%d,\"writes\":%d}\n"
-                common
-                (Budget.stop_reason_to_string r.Eval.stopped)
-                (List.length (Eval.returned r))
-                (List.length r.Eval.vars)
-                r.Eval.writes
-            | Service.Rejected reason ->
-              Printf.printf "{%s,\"status\":\"rejected\",\"reason\":%S}\n"
-                common
-                (Budget.stop_reason_to_string reason)
-            | Service.Failed t ->
-              Printf.printf "{%s,\"status\":\"error\",\"error\":\"%s\"}\n"
-                common
-                (json_escape (Error.to_string t))
+            print_endline
+              (Json.to_string
+                 (Json.Obj
+                    ([
+                       ("id", Json.Int o.Service.o_id);
+                       ("yields", Json.Int o.Service.o_yields);
+                       ("ms", Json.Float o.Service.o_wall_ms);
+                     ]
+                    @ fields)))
           else
             match o.Service.o_status with
             | Service.Done r ->
@@ -433,16 +428,41 @@ let batch_cmd batch_file docs jobs domains quantum timeout wait_watermark json
         outcomes;
       let agg = Service.metrics svc in
       let c k = M.get agg k in
-      if json then
-        Printf.printf
-          "{\"batch\":{\"queries\":%d,\"wall_ms\":%.3f,\"cache\":{\"hit\":%d,\"miss\":%d,\"evictions\":%d,\"invalidations\":%d,\"index_updates\":%d},\"queue\":{\"submitted\":%d,\"completed\":%d,\"yields\":%d,\"deadline_stops\":%d,\"watermark_waits\":%d},\"writes\":%d}}\n"
-          (List.length outcomes) wall_ms
-          (c M.Exec_cache_hit) (c M.Exec_cache_miss)
-          (c M.Exec_cache_evictions) (c M.Exec_cache_invalidations)
-          (c M.Index_incremental)
-          (c M.Exec_queue_submitted) (c M.Exec_queue_completed)
-          (c M.Exec_queue_yields) (c M.Exec_queue_deadline_stops)
-          (c M.Exec_watermark_waits) (c M.Exec_writes)
+      if json then begin
+        let counts l =
+          Json.Obj (List.map (fun (k, v) -> (k, Json.Int (c v))) l)
+        in
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [
+                  ( "batch",
+                    Json.Obj
+                      [
+                        ("queries", Json.Int (List.length outcomes));
+                        ("wall_ms", Json.Float wall_ms);
+                        ( "cache",
+                          counts
+                            [
+                              ("hit", M.Exec_cache_hit);
+                              ("miss", M.Exec_cache_miss);
+                              ("evictions", M.Exec_cache_evictions);
+                              ("invalidations", M.Exec_cache_invalidations);
+                              ("index_updates", M.Index_incremental);
+                            ] );
+                        ( "queue",
+                          counts
+                            [
+                              ("submitted", M.Exec_queue_submitted);
+                              ("completed", M.Exec_queue_completed);
+                              ("yields", M.Exec_queue_yields);
+                              ("deadline_stops", M.Exec_queue_deadline_stops);
+                              ("watermark_waits", M.Exec_watermark_waits);
+                            ] );
+                        ("writes", Json.Int (c M.Exec_writes));
+                      ] );
+                ]))
+      end
       else
         Format.printf
           "batch: %d quer(ies) in %.2f ms — cache %d hit / %d miss, queue %d \
@@ -469,7 +489,8 @@ let match_cmd pattern_file graph_file strategy domains adaptive exhaustive
       let budget = budget_of timeout max_visited in
       let t0 = Unix.gettimeofday () in
       let matches, stopped =
-        Algebra.select_governed ~strategy ~exhaustive ?limit ?budget ~patterns
+        Algebra.select_paths_governed ~strategy ~exhaustive ?limit ?budget
+          ~patterns:(List.map Gql_matcher.Rpq.flat patterns)
           entries
       in
       let elapsed = Unix.gettimeofday () -. t0 in

@@ -1,12 +1,11 @@
-(* Social-network analytics: selection + aggregation (the §7 extension
-   operators) and parallel matching over a single large graph.
+(* Social-network analytics: selection, a plain-OCaml summary of the
+   matches, and parallel matching over a single large graph.
 
    Run with:  dune exec examples/social.exe
 *)
 
 open Gql_core
 open Gql_graph
-module Aggregate = Gql_core.Aggregate
 
 (* a small synthetic social network: people with cities and ages,
    "follows" edges (directed) *)
@@ -58,26 +57,27 @@ let () =
   in
   Format.printf "Cross-city mutual follows (ordered pairs): %d@." (List.length mutual);
 
-  (* aggregate the matches: group by the follower's city, average age *)
-  let entries = List.map (fun m -> Algebra.M m) mutual in
+  (* summarize the matches: group by the follower's city, mean age *)
+  let follower m =
+    let t = Option.get (Matched.node_tuple m "a") in
+    (Value.to_string (Tuple.get t "city"), Tuple.get t "age")
+  in
+  let by_city = Hashtbl.create 8 in
+  List.iter
+    (fun m ->
+      let city, age = follower m in
+      let n, sum =
+        Option.value (Hashtbl.find_opt by_city city) ~default:(0, 0)
+      in
+      let age = match age with Value.Int a -> a | _ -> 0 in
+      Hashtbl.replace by_city city (n + 1, sum + age))
+    mutual;
   Format.printf "@.By follower city:@.";
   List.iter
-    (fun (city, group) ->
-      Format.printf "  %-8s %3d pairs, mean follower age %s@."
-        (Value.to_string city) (List.length group)
-        (Value.to_string (Aggregate.avg ~key:(Pred.path [ "a"; "age" ]) group)))
-    (Aggregate.group_by ~key:(Pred.path [ "a"; "city" ]) entries);
-
-  (* ranking: the oldest follower in a mutual pair *)
-  (match
-     Aggregate.top_k ~descending:true ~key:(Pred.path [ "a"; "age" ]) 1 entries
-   with
-  | [ Algebra.M m ] ->
-    let t = Option.get (Matched.node_tuple m "a") in
-    Format.printf "@.Oldest mutual follower: age %s from %s@."
-      (Value.to_string (Tuple.get t "age"))
-      (Value.to_string (Tuple.get t "city"))
-  | _ -> ());
+    (fun (city, (n, sum)) ->
+      Format.printf "  %-8s %3d pairs, mean follower age %.1f@." city n
+        (float_of_int sum /. float_of_int n))
+    (List.sort compare (List.of_seq (Hashtbl.to_seq by_city)));
 
   (* parallel matching of a directed triangle (a follows b follows c
      follows a) across domains *)
@@ -92,7 +92,11 @@ let () =
   let seq = Gql_matcher.Engine.count_matches triangle g in
   let t_seq = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
-  let par = Gql_matcher.Parallel.count_matches ~domains:4 triangle g in
+  let par =
+    Gql_matcher.Engine.count_matches
+      ~strategy:{ Gql_matcher.Engine.optimized with search_domains = 4 }
+      triangle g
+  in
   let t_par = Unix.gettimeofday () -. t0 in
   Format.printf
     "@.Follow-triangles: %d (sequential %.1f ms, 4 domains %.1f ms on %d core(s))@."

@@ -17,48 +17,6 @@ let graphs c = List.map underlying c
 
 (* --- selection ------------------------------------------------------------ *)
 
-(* A budget is shared across every (pattern, graph) engine run of a
-   selection. Per-run [Hit_limit] stops are normal truncation and do
-   not taint the aggregate reason; a [final] reason (expired deadline,
-   cancelled token) short-circuits the remaining runs — re-entering the
-   engine would only burn a poll to learn the same thing. [Step_budget]
-   is per-run, so later entries still get their own visit allowance. *)
-let select_one_governed ?strategy ?(exhaustive = true) ?limit
-    ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled) pattern c
-    =
-  let module M_ = Gql_obs.Metrics in
-  let stopped = ref Budget.Exhausted in
-  let rev_out = ref [] in
-  List.iter
-    (fun entry ->
-      if not (Budget.final !stopped) then begin
-        let g = underlying entry in
-        let result =
-          (* one "match" span per (pattern, graph) engine run; same-name
-             siblings aggregate in the span forest, so a 1000-graph
-             collection renders as a single match × 1000 line *)
-          M_.with_span metrics "match" (fun () ->
-              Engine.run ?strategy ~exhaustive ?limit ~budget ~metrics pattern
-                g)
-        in
-        if M_.enabled metrics then
-          M_.observe metrics M_.Matches_per_graph
-            result.Engine.outcome.Gql_matcher.Search.n_found;
-        (match result.Engine.outcome.Gql_matcher.Search.stopped with
-        | Budget.Exhausted | Budget.Hit_limit -> ()
-        | r -> stopped := Budget.worst !stopped r);
-        List.iter
-          (fun phi -> rev_out := M (Matched.make pattern g phi) :: !rev_out)
-          result.Engine.outcome.Gql_matcher.Search.mappings
-      end)
-    c;
-  (List.rev !rev_out, !stopped)
-
-let select_one ?strategy ?exhaustive ?limit ?budget ?metrics pattern c =
-  fst
-    (select_one_governed ?strategy ?exhaustive ?limit ?budget ?metrics pattern
-       c)
-
 (* The graph-side analogue of the sqlsim System-R enumerator's
    cheapest-access-first rule, one level up: rank the patterns of a
    multi-pattern program (e.g. the derivations of a recursive motif) by
@@ -81,51 +39,24 @@ let pattern_order ?strategy ~n_nodes patterns =
   List.map fst
     (List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) costed)
 
-let select_governed ?strategy ?exhaustive ?limit ?(budget = Budget.unlimited)
-    ?metrics ~patterns c =
-  let stopped = ref Budget.Exhausted in
-  let pats = Array.of_list patterns in
-  let np = Array.length pats in
-  let ranked =
-    if np <= 1 then List.init np Fun.id
-    else
-      let n_nodes =
-        List.fold_left (fun m e -> max m (Graph.n_nodes (underlying e))) 1 c
-      in
-      pattern_order ?strategy ~n_nodes patterns
-  in
-  (* execute in costed order, emit grouped in program order — the
-     observable result is unchanged unless the budget stops the run,
-     in which case the cheapest patterns' results are the ones that
-     made it *)
-  let per_pattern = Array.make np [] in
-  List.iter
-    (fun i ->
-      if not (Budget.final !stopped) then begin
-        let ms, r =
-          select_one_governed ?strategy ?exhaustive ?limit ~budget ?metrics
-            pats.(i) c
-        in
-        stopped := Budget.worst !stopped r;
-        per_pattern.(i) <- ms
-      end)
-    ranked;
-  (List.concat (Array.to_list per_pattern), !stopped)
-
-let select ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c =
-  fst (select_governed ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c)
-
-(* Selection over path patterns: like [select_governed], but each
-   (pattern, graph) run goes through {!Gql_matcher.Rpq.run} — the flat
-   core matches through the usual engine, path segments through the
-   product BFS / reachability fast path. One RPQ context (hence one
-   lazily built reachability index) is shared per distinct graph across
-   all patterns of the selection. *)
 module Rpq = Gql_matcher.Rpq
 
+(* The one selection loop: every (pattern, graph) pair runs through
+   {!Gql_matcher.Rpq.run} — the flat core through the engine (with the
+   graph's sources, when the caller has any), path segments through the
+   product BFS / reachability fast path. One RPQ context (hence one
+   lazily built reachability index) is shared per distinct graph across
+   all patterns of the selection.
+
+   A budget is shared across every run. Per-run [Hit_limit] stops are
+   normal truncation and do not taint the aggregate reason; a [final]
+   reason (expired deadline, cancelled token) short-circuits the
+   remaining runs — re-entering the engine would only burn a poll to
+   learn the same thing. [Step_budget] is per-run, so later entries
+   still get their own visit allowance. *)
 let select_paths_governed ?strategy ?exhaustive ?limit
     ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled)
-    ~patterns c =
+    ?(sources = fun _ -> None) ?(on_run = ignore) ~patterns c =
   let module M_ = Gql_obs.Metrics in
   let ctxs : (Graph.t * Rpq.ctx) list ref = ref [] in
   let ctx_of g =
@@ -148,6 +79,10 @@ let select_paths_governed ?strategy ?exhaustive ?limit
       pattern_order ?strategy ~n_nodes
         (List.map (fun p -> p.Rpq.core) patterns)
   in
+  (* execute in costed order, emit grouped in program order — the
+     observable result is unchanged unless the budget stops the run,
+     in which case the cheapest patterns' results are the ones that
+     made it *)
   let per_pattern = Array.make np [] in
   List.iter
     (fun i ->
@@ -158,10 +93,20 @@ let select_paths_governed ?strategy ?exhaustive ?limit
           (fun entry ->
             if not (Budget.final !stopped) then begin
               let g = underlying entry in
+              let plans, rows =
+                match sources g with
+                | Some (ps, rs) -> (Some ps, Some rs)
+                | None -> (None, None)
+              in
+              (* one "match" span per (pattern, graph) run; same-name
+                 siblings aggregate in the span forest, so a 1000-graph
+                 collection renders as a single match × 1000 line *)
+              (* flat patterns need no context: skip the lookup *)
+              let ctx = if Rpq.is_flat p then None else Some (ctx_of g) in
               let outcome =
                 M_.with_span metrics "match" (fun () ->
                     Rpq.run ?strategy ?exhaustive ?limit ~budget ~metrics
-                      ~ctx:(ctx_of g) p g)
+                      ?plans ?rows ?ctx p g)
               in
               if M_.enabled metrics then
                 M_.observe metrics M_.Matches_per_graph
@@ -172,7 +117,8 @@ let select_paths_governed ?strategy ?exhaustive ?limit
               List.iter
                 (fun phi ->
                   rev_out := M (Matched.make p.Rpq.core g phi) :: !rev_out)
-                outcome.Gql_matcher.Search.mappings
+                outcome.Gql_matcher.Search.mappings;
+              on_run outcome
             end)
           c;
         per_pattern.(i) <- List.rev !rev_out
@@ -180,10 +126,10 @@ let select_paths_governed ?strategy ?exhaustive ?limit
     ranked;
   (List.concat (Array.to_list per_pattern), !stopped)
 
-let select_paths ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c =
+let select ?strategy ?exhaustive ?limit ?budget ?metrics ~patterns c =
   fst
     (select_paths_governed ?strategy ?exhaustive ?limit ?budget ?metrics
-       ~patterns c)
+       ~patterns:(List.map Rpq.flat patterns) c)
 
 (* --- product and join ------------------------------------------------------ *)
 

@@ -26,6 +26,43 @@ val graphs : collection -> Graph.t list
 
 (** {1 Selection} *)
 
+val select_paths_governed :
+  ?strategy:Gql_matcher.Engine.strategy ->
+  ?exhaustive:bool ->
+  ?limit:int ->
+  ?budget:Gql_matcher.Budget.t ->
+  ?metrics:Gql_obs.Metrics.t ->
+  ?sources:
+    (Graph.t ->
+    (Gql_matcher.Engine.plan_source * Gql_matcher.Engine.row_source) option) ->
+  ?on_run:(Gql_matcher.Search.outcome -> unit) ->
+  patterns:Gql_matcher.Rpq.pattern list ->
+  collection ->
+  collection * Gql_matcher.Budget.stop_reason
+(** σP(C) = { φP(G) | G ∈ C }: every mapping of every pattern
+    derivation against every graph of the collection (one mapping per
+    graph when [exhaustive] is false, §3.3), plus the aggregate stop
+    reason. The result entries are matched graphs; [patterns] lists the
+    derivations of the (possibly recursive) pattern, and a graph's
+    matches accumulate across derivations.
+
+    Each (pattern, graph) pair runs through {!Gql_matcher.Rpq.run}: the
+    flat core through the matcher engine, with [sources g] as its plan
+    and row sources when given (the exec service passes its shared
+    caches; default: none), path segments through the product BFS with
+    the reachability-index fast path. One RPQ context per distinct
+    graph is shared across all patterns. [on_run] sees each run's
+    outcome after its matches are collected (the service charges its
+    scheduling quantum there).
+
+    The [budget] is shared by every run. The reason is [Exhausted] when
+    every run completed (per-run [Hit_limit] truncation included — that
+    is requested behaviour, not a resource stop), otherwise the worst
+    resource reason observed; a [final] reason (deadline, cancellation)
+    short-circuits the remaining runs. With [metrics] enabled, each run
+    executes inside a ["match"] span and the per-graph match counts
+    feed the [matches_per_graph] histogram. *)
+
 val select :
   ?strategy:Gql_matcher.Engine.strategy ->
   ?exhaustive:bool ->
@@ -35,78 +72,9 @@ val select :
   patterns:Gql_matcher.Flat_pattern.t list ->
   collection ->
   collection
-(** σP(C) = { φP(G) | G ∈ C }: every mapping of every pattern
-    derivation against every graph of the collection (one mapping per
-    graph when [exhaustive] is false, §3.3). The result entries are
-    matched graphs. [patterns] lists the derivations of the (possibly
-    recursive) pattern; a graph's matches accumulate across
-    derivations. The [budget] is shared by every engine run; on a
-    resource stop the matches found so far are returned (use
-    {!select_governed} to learn the reason). With [metrics] enabled,
-    each engine run executes inside a ["match"] span and the per-graph
-    match counts feed the [matches_per_graph] histogram. *)
-
-val select_one :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  Gql_matcher.Flat_pattern.t ->
-  collection ->
-  collection
-
-val select_governed :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  patterns:Gql_matcher.Flat_pattern.t list ->
-  collection ->
-  collection * Gql_matcher.Budget.stop_reason
-(** Like {!select}, plus the aggregate stop reason: [Exhausted] when
-    every run completed (per-run [Hit_limit] truncation included —
-    that is requested behaviour, not a resource stop), otherwise the
-    worst resource reason observed. A [final] reason (deadline,
-    cancellation) short-circuits the remaining (pattern, graph) runs. *)
-
-val select_one_governed :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  Gql_matcher.Flat_pattern.t ->
-  collection ->
-  collection * Gql_matcher.Budget.stop_reason
-
-val select_paths_governed :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  patterns:Gql_matcher.Rpq.pattern list ->
-  collection ->
-  collection * Gql_matcher.Budget.stop_reason
-(** {!select_governed} over path patterns: the flat core of each
-    pattern runs through the matcher engine, path segments (unbounded
-    repetition) through {!Gql_matcher.Rpq} — product BFS with the
-    reachability-index fast path. One RPQ context per distinct graph is
-    shared across all patterns, so a selection builds each graph's
-    reachability index at most once. Patterns are ranked by the cost of
-    their flat cores. *)
-
-val select_paths :
-  ?strategy:Gql_matcher.Engine.strategy ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ?budget:Gql_matcher.Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  patterns:Gql_matcher.Rpq.pattern list ->
-  collection ->
-  collection
+(** {!select_paths_governed} over flat patterns, without sources,
+    returning only the matches (on a resource stop, the ones found so
+    far). *)
 
 val pattern_order :
   ?strategy:Gql_matcher.Engine.strategy ->
@@ -116,11 +84,11 @@ val pattern_order :
 (** Execution order for a multi-pattern selection: indices into the
     input list, cheapest estimated whole-pattern cost
     ({!Gql_matcher.Order.pattern_cost} under the strategy's cost model)
-    first; stable on ties. {!select} and {!select_governed} run
-    patterns in this order — the System-R style cheapest-first rule
-    lifted from join orders to pattern derivations — while emitting
-    results grouped in program order, so only budget-stopped runs can
-    observe the difference. *)
+    first; stable on ties. {!select_paths_governed} runs patterns in
+    this order — the System-R style cheapest-first rule lifted from
+    join orders to pattern derivations — while emitting results grouped
+    in program order, so only budget-stopped runs can observe the
+    difference. *)
 
 (** {1 Product and join} *)
 

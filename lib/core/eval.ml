@@ -170,7 +170,8 @@ let run ?(docs = []) ?strategy ?max_depth ?(max_derivations = 4096) ?budget
     (program : Ast.program) =
   let selector =
     (* the default selector is the plain bulk-algebra selection; the
-       exec service substitutes a caching, quantum-yielding one *)
+       exec service passes the same one with its caches as the engine's
+       sources and a quantum-yielding per-run callback *)
     match selector with
     | Some s -> s
     | None ->

@@ -74,7 +74,8 @@ type selector =
     the pattern and the source collection, return the matched entries
     plus the aggregate stop reason. The default is
     {!Algebra.select_paths_governed}; the batch service ([Gql_exec])
-    installs a caching, quantum-yielding selector instead. *)
+    installs the same function with its caches as the engine's sources
+    and a quantum-yielding per-run callback. *)
 
 val run :
   ?docs:docs ->

@@ -279,7 +279,9 @@ let execute ?(docs = []) ?strategy plan =
       | None -> error "unknown variable %s" v)
     | Select { pname; patterns; exhaustive; post; input } ->
       let entries = eval input in
-      Algebra.select_paths ?strategy ~exhaustive ~patterns entries
+      fst
+        (Algebra.select_paths_governed ?strategy ~exhaustive ~patterns
+           entries)
       |> filter_post pname post
     | Compose { template; param; input } ->
       List.map

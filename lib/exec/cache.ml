@@ -24,7 +24,7 @@ module PatTbl = Ephemeron.K1.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type plan = {
+type plan = Gql_matcher.Engine.plan = {
   p_space : int array array;
   p_order : int array;
   p_epoch : int;
@@ -92,7 +92,6 @@ let register t graphs =
           end)
         graphs)
 
-let registered t g = locked t (fun () -> GraphTbl.mem t.gids g)
 let version t = locked t (fun () -> t.version)
 
 let invalidate t ~metrics =
@@ -228,7 +227,10 @@ let indexes t ~metrics g =
           Hashtbl.add t.indexes gid pair;
           Some pair))
 
-let mode_char = function `Node_attrs -> 'a' | `Profiles -> 'p'
+let mode_char = function
+  | `Node_attrs -> 'a'
+  | `Profiles -> 'p'
+  | `Subgraphs -> 's'
 
 (* call under the mutex *)
 let pattern_text t p =
@@ -243,34 +245,37 @@ let plan_key t gid ~retrieval ~refine p =
   Printf.sprintf "g%d|%c|%b|%s" gid (mode_char retrieval) refine
     (pattern_text t p)
 
+(* call under the mutex *)
+let find_plan (t : t) ~metrics gid ~retrieval ~refine ~epoch p =
+  match Hashtbl.find_opt t.plans (plan_key t gid ~retrieval ~refine p) with
+  | Some plan when plan.p_epoch = epoch ->
+    M.incr metrics M.Exec_cache_hit;
+    Some (`Fresh plan)
+  | Some plan ->
+    (* the learned stats moved on since this plan was ordered: the
+       candidate space is still exact (it only depends on the graph),
+       but the order deserves a re-plan *)
+    M.incr metrics M.Exec_plan_stale;
+    Some (`Stale plan)
+  | None ->
+    M.incr metrics M.Exec_cache_miss;
+    None
+
+(* call under the mutex *)
+let add_plan (t : t) gid ~retrieval ~refine p plan =
+  if Hashtbl.length t.plans >= t.plan_capacity then Hashtbl.reset t.plans;
+  Hashtbl.replace t.plans (plan_key t gid ~retrieval ~refine p) plan
+
 let plan_find t ~metrics ~retrieval ~refine ?(epoch = 0) g p =
   locked t (fun () ->
-      match gid_opt t g with
-      | None -> None
-      | Some gid -> (
-        match
-          Hashtbl.find_opt t.plans (plan_key t gid ~retrieval ~refine p)
-        with
-        | Some plan when plan.p_epoch = epoch ->
-          M.incr metrics M.Exec_cache_hit;
-          Some (`Fresh plan)
-        | Some plan ->
-          (* the learned stats moved on since this plan was ordered:
-             the candidate space is still exact (it only depends on the
-             graph), but the order deserves a re-plan *)
-          M.incr metrics M.Exec_plan_stale;
-          Some (`Stale plan)
-        | None ->
-          M.incr metrics M.Exec_cache_miss;
-          None))
+      Option.bind (gid_opt t g) (fun gid ->
+          find_plan t ~metrics gid ~retrieval ~refine ~epoch p))
 
 let plan_add t ~retrieval ~refine g p plan =
   locked t (fun () ->
-      match gid_opt t g with
-      | None -> ()
-      | Some gid ->
-        if Hashtbl.length t.plans >= t.plan_capacity then Hashtbl.reset t.plans;
-        Hashtbl.replace t.plans (plan_key t gid ~retrieval ~refine p) plan)
+      Option.iter
+        (fun gid -> add_plan t gid ~retrieval ~refine p plan)
+        (gid_opt t g))
 
 (* Everything the row depends on, textually: the retrieval mode, the
    node's tuple constraints, its local predicate, and its radius-1
@@ -279,8 +284,7 @@ let plan_add t ~retrieval ~refine g p plan =
    is covered. Two different patterns whose nodes constrain identically
    share the row. *)
 let row_key gid ~retrieval p u =
-  let mode = match retrieval with `Node_attrs -> 'a' | `Profiles -> 'p' in
-  Format.asprintf "g%d|%c|%a|%a|%a" gid mode Tuple.pp
+  Format.asprintf "g%d|%c|%a|%a|%a" gid (mode_char retrieval) Tuple.pp
     (Graph.node_tuple p.Gql_matcher.Flat_pattern.structure u)
     Pred.pp
     p.Gql_matcher.Flat_pattern.node_preds.(u)
@@ -310,12 +314,43 @@ let row t ~metrics ~retrieval g p u ~compute =
             M.add metrics M.Exec_cache_evictions (after - before));
       row)
 
-let learned_epoch t = locked t (fun () -> Gql_matcher.Stats.epoch t.learned)
-
 let learned_snapshot t =
   locked t (fun () -> Gql_matcher.Stats.snapshot t.learned)
 
 let observe_learned t ~f = locked t (fun () -> f t.learned)
+
+(* The plan source keys on the gid found here, saving a graph hash per
+   lookup. If a write retires the graph mid-run, a plan added under the
+   dead gid is never found again (gids are not reused) and goes with
+   the next wholesale plan-table reset. *)
+let sources t ~metrics g =
+  match
+    locked t (fun () ->
+        Option.map
+          (fun gid -> (gid, Gql_matcher.Stats.epoch t.learned))
+          (gid_opt t g))
+  with
+  | None -> None
+  | Some (gid, epoch) ->
+    Some
+      ( {
+          Gql_matcher.Engine.epoch;
+          find =
+            (fun ~retrieval ~refine ~epoch p ->
+              locked t (fun () ->
+                  find_plan t ~metrics gid ~retrieval ~refine ~epoch p));
+          add =
+            (fun ~retrieval ~refine p plan ->
+              locked t (fun () -> add_plan t gid ~retrieval ~refine p plan));
+          learned = (fun () -> learned_snapshot t);
+          observe = (fun f -> observe_learned t ~f);
+        },
+        {
+          Gql_matcher.Engine.indexes = (fun () -> indexes t ~metrics g);
+          row =
+            (fun ~retrieval p u ~compute ->
+              row t ~metrics ~retrieval g p u ~compute);
+        } )
 
 let stats t =
   locked t (fun () ->

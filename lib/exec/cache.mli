@@ -26,8 +26,8 @@
     with the canonical printers. Two syntactically different queries
     whose pattern nodes constrain identically therefore share rows.
     [`Subgraphs] retrieval is never cached (its neighborhood
-    memoization is not domain-safe to share); callers must bypass the
-    cache for it.
+    memoization is not domain-safe to share): {!Gql_matcher.Engine.run}
+    ignores the sources under it.
 
     Every operation is thread-safe and counts [exec.cache.hit] /
     [exec.cache.miss] (and eviction / invalidation events) into the
@@ -47,7 +47,6 @@ val register : t -> Graph.t list -> unit
 (** Make these graphs cacheable. Idempotent per graph (physical
     identity). *)
 
-val registered : t -> Graph.t -> bool
 val version : t -> int
 
 val invalidate : t -> metrics:Gql_obs.Metrics.t -> unit
@@ -99,7 +98,7 @@ val indexes :
     its precomputed profiles may be read ([`Node_attrs] / [`Profiles]
     retrieval) — never its lazily-memoized neighborhoods. *)
 
-type plan = {
+type plan = Gql_matcher.Engine.plan = {
   p_space : int array array;
       (** the {e refined} candidate rows Φ(u) — retrieval and joint
           reduction already applied; treat as immutable *)
@@ -112,7 +111,7 @@ type plan = {
 val plan_find :
   t ->
   metrics:Gql_obs.Metrics.t ->
-  retrieval:[ `Node_attrs | `Profiles ] ->
+  retrieval:Gql_matcher.Feasible.retrieval ->
   refine:bool ->
   ?epoch:int ->
   Graph.t ->
@@ -128,30 +127,13 @@ val plan_find :
 
 val plan_add :
   t ->
-  retrieval:[ `Node_attrs | `Profiles ] ->
+  retrieval:Gql_matcher.Feasible.retrieval ->
   refine:bool ->
   Graph.t ->
   Gql_matcher.Flat_pattern.t ->
   plan ->
   unit
 (** Store a freshly computed plan. No-op for unregistered graphs. *)
-
-val row :
-  t ->
-  metrics:Gql_obs.Metrics.t ->
-  retrieval:[ `Node_attrs | `Profiles ] ->
-  Graph.t ->
-  Gql_matcher.Flat_pattern.t ->
-  int ->
-  compute:(unit -> int array) ->
-  int array
-(** The cached feasible-mate row Φ(u), or [compute ()] — inserted into
-    the LRU (which may evict colder rows). Treat the returned array as
-    immutable: it is shared. *)
-
-val learned_epoch : t -> int
-(** Current epoch of the shared learned statistics (bumps every
-    [epoch_every] observed runs — see {!Gql_matcher.Stats}). *)
 
 val learned_snapshot : t -> Gql_matcher.Stats.t
 (** Deep copy of the shared learned statistics, safe to plan from on
@@ -160,6 +142,20 @@ val learned_snapshot : t -> Gql_matcher.Stats.t
 val observe_learned : t -> f:(Gql_matcher.Stats.t -> unit) -> unit
 (** Run [f] on the shared learned statistics under the cache mutex —
     how jobs fold their per-run observations in. Keep [f] short. *)
+
+val sources :
+  t ->
+  metrics:Gql_obs.Metrics.t ->
+  Graph.t ->
+  (Gql_matcher.Engine.plan_source * Gql_matcher.Engine.row_source) option
+(** The plan and row sources {!Gql_matcher.Engine.run} reads for one
+    registered graph: {!plan_find} / {!plan_add} under the gid the graph
+    has now, the learned statistics (their epoch now,
+    {!learned_snapshot}, {!observe_learned}), its {!indexes}, and the
+    retrieval LRU's rows Φ(u) — computed and inserted on a miss,
+    possibly evicting colder rows; shared, so treat them as immutable.
+    Hits and misses count into [metrics]. [None] for an unregistered
+    graph (a variable binding, not a document): it runs uncached. *)
 
 type stats = {
   version : int;

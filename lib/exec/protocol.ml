@@ -127,271 +127,7 @@ let write_frame fd payload =
 
 (* --- minimal JSON ---------------------------------------------------------- *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let to_string v =
-    let buf = Buffer.create 256 in
-    let rec go = function
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (string_of_bool b)
-      | Int i -> Buffer.add_string buf (string_of_int i)
-      | Float f ->
-        if Float.is_finite f then
-          Buffer.add_string buf (Printf.sprintf "%.6g" f)
-        else Buffer.add_string buf "null"
-      | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-      | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            go item)
-          items;
-        Buffer.add_char buf ']'
-      | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\":";
-            go item)
-          fields;
-        Buffer.add_char buf '}'
-    in
-    go v;
-    Buffer.contents buf
-
-  exception Bad of string
-
-  (* Recursion bound for the descent parser: a frame of nothing but
-     '[' is ~16M deep and would hit Stack_overflow — an exception the
-     server must not let escape a connection thread. No legitimate
-     protocol document nests past a handful of levels. *)
-  let max_depth = 512
-
-  (* recursive-descent parser over a cursor; raises [Bad], caught at
-     the [parse] boundary *)
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail "bad literal"
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          let c = s.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.contents buf
-          | '\\' -> (
-            if !pos >= n then fail "unterminated escape"
-            else
-              let e = s.[!pos] in
-              advance ();
-              match e with
-              | '"' | '\\' | '/' ->
-                Buffer.add_char buf e;
-                go ()
-              | 'n' ->
-                Buffer.add_char buf '\n';
-                go ()
-              | 't' ->
-                Buffer.add_char buf '\t';
-                go ()
-              | 'r' ->
-                Buffer.add_char buf '\r';
-                go ()
-              | 'b' ->
-                Buffer.add_char buf '\b';
-                go ()
-              | 'f' ->
-                Buffer.add_char buf '\012';
-                go ()
-              | 'u' ->
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let hex = String.sub s !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-                in
-                (* decode as UTF-8; the protocol only emits \u for
-                   control characters but accepts the full BMP *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                go ()
-              | _ -> fail "bad escape")
-          | c ->
-            Buffer.add_char buf c;
-            go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let lit = String.sub s start (!pos - start) in
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt lit with
-        | Some f -> Float f
-        | None -> fail "bad number")
-    in
-    let rec parse_value depth =
-      if depth > max_depth then fail "nesting too deep";
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec items acc =
-            let v = parse_value (depth + 1) in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items (v :: acc)
-            | Some ']' ->
-              advance ();
-              List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            (k, v)
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              fields (kv :: acc)
-            | Some '}' ->
-              advance ();
-              Obj (List.rev (kv :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-      | Some ('0' .. '9' | '-') -> parse_number ()
-      | Some c -> fail (Printf.sprintf "unexpected %C" c)
-    in
-    match
-      let v = parse_value 0 in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let member k = function
-    | Obj fields -> List.assoc_opt k fields
-    | _ -> None
-
-  let str = function Str s -> Some s | _ -> None
-  let int = function Int i -> Some i | _ -> None
-
-  let float = function
-    | Float f -> Some f
-    | Int i -> Some (float_of_int i)
-    | _ -> None
-
-  let bool = function Bool b -> Some b | _ -> None
-  let list = function List l -> Some l | _ -> None
-end
+module Json = Gql_obs.Json
 
 (* --- requests -------------------------------------------------------------- *)
 

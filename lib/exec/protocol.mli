@@ -51,40 +51,12 @@ val read_frame : ?max_frame:int -> Unix.file_descr -> (string, frame_error) resu
 val write_frame : Unix.file_descr -> string -> unit
 (** Frame and write a payload, handling short writes. *)
 
-(** {1 Minimal JSON}
+(** {1 JSON}
 
-    The protocol needs a parser (requests arrive as text) and the repo
-    bakes in no JSON dependency, so here is the smallest useful one:
-    objects, arrays, strings (with escapes), ints, floats, booleans,
-    null. Integers that fit are kept exact. *)
+    The codec is {!Gql_obs.Json}, re-exported here for protocol
+    users. *)
 
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Whole-string parse (trailing garbage is an error). Nesting
-      deeper than 512 levels is rejected — a recursion bound, so a
-      hostile frame of brackets cannot raise [Stack_overflow]. *)
-
-  val to_string : t -> string
-  (** Compact single-line rendering — one frame, one line. *)
-
-  val member : string -> t -> t option
-  (** Field lookup on [Obj]; [None] otherwise. *)
-
-  val str : t -> string option
-  val int : t -> int option
-  val float : t -> float option
-  val bool : t -> bool option
-  val list : t -> t list option
-end
+module Json = Gql_obs.Json
 
 (** {1 Requests}
 

@@ -8,14 +8,22 @@
     the per-query setup that dominates a sequential [Gql.run_query]
     loop.
 
-    {b Fairness.} Execution is cooperative: each query runs with a
-    caching selector (installed through [Eval.run ~selector]) that
-    performs a [Yield] effect after every (pattern, graph) engine run
-    once the query has expanded [quantum] search-tree nodes in its
-    current slice {e and} other work is queued. The captured
-    continuation is re-enqueued at the back of the work queue and may
-    be resumed by a different domain — so a single exponential query
-    cannot starve cheap ones even on a one-domain pool.
+    {b Selection.} Each query runs [Eval.run] with a selector that is
+    the algebra's own [Algebra.select_paths_governed], given the
+    shared {!Cache} as the engine's plan and row sources
+    ({!Cache.sources}). A service run therefore executes exactly the
+    pipeline of a direct [Gql.run_query], minus the work the caches
+    already hold: a warm plan goes straight to search, a cold one
+    retrieves cached Φ(u) rows. Planning uses the cache's learned
+    statistics unless [strategy] pins a cost model.
+
+    {b Fairness.} Execution is cooperative: the selector performs a
+    [Yield] effect after every (pattern, graph) engine run once the
+    query has expanded [quantum] search-tree nodes in its current slice
+    {e and} other work is queued. The captured continuation is
+    re-enqueued at the back of the work queue and may be resumed by a
+    different domain — so a single exponential query cannot starve
+    cheap ones even on a one-domain pool.
 
     {b Admission and deadlines.} A per-query [deadline] is converted to
     an absolute budget at submit time, so time spent waiting in the
@@ -29,9 +37,10 @@
     failure is visible in its outcome.
 
     Instrumentation: each job writes to its own [Metrics.t] (domain
-    safety), merged into the service aggregate at completion —
-    [exec.cache.*] and [exec.queue.*] counters plus the usual engine
-    spans. *)
+    safety), returned in its outcome; at completion its counters,
+    histograms and drift rows — not its spans — are added to the
+    service aggregate, so the aggregate stays the same size however
+    many queries it serves. *)
 
 type status =
   | Done of Gql_core.Eval.result
@@ -48,6 +57,9 @@ type outcome = {
   o_status : status;
   o_yields : int;  (** times this query was preempted *)
   o_wall_ms : float;  (** submit → completion, queue wait included *)
+  o_metrics : Gql_obs.Metrics.t;
+      (** this query's own counters and span forest ([flwr] > [match] >
+          the engine phases) *)
 }
 
 type t
@@ -71,13 +83,11 @@ val create :
     [`Subgraphs] retrieval bypasses the caches entirely.
 
     [search_domains] splits the machine between inter- and intra-query
-    parallelism: when a query reaches its search phase with {e nothing
-    else queued} and a non-trivial candidate space, the search runs on
-    the work-stealing engine with this many domains instead of
-    sequentially. Defaults to
-    [max 1 (Domain.recommended_domain_count () / jobs)] — the cores the
-    job pool leaves idle. Cached (warm-plan) searches use it too; the
-    [`Subgraphs] fallback path stays sequential. *)
+    parallelism: a selection that starts with {e nothing else queued}
+    runs its engine searches with [search_domains] set to this (the
+    engine keeps tiny searches sequential); otherwise with 1. Defaults
+    to [max 1 (Domain.recommended_domain_count () / jobs)] — the cores
+    the job pool leaves idle. *)
 
 val submit :
   t -> ?deadline:float -> ?cancel:Gql_matcher.Budget.token -> ?after:int ->
@@ -167,7 +177,9 @@ val views : t -> view_info list
     status page. *)
 
 val metrics : t -> Gql_obs.Metrics.t
-(** The service aggregate. Only read it when no query is in flight
+(** The service aggregate: every finished job's counters, histograms
+    and drift rows, no spans (a job's spans are in its
+    {!outcome.o_metrics}). Only read it when no query is in flight
     (after {!drain}) — completions merge into it concurrently. *)
 
 val cache_stats : t -> Cache.stats

@@ -1,6 +1,7 @@
 module M = Gql_obs.Metrics
 module FP = Gql_matcher.Flat_pattern
 module Rpq = Gql_matcher.Rpq
+module Engine = Gql_matcher.Engine
 module Feasible = Gql_matcher.Feasible
 module Search = Gql_matcher.Search
 module Order = Gql_matcher.Order
@@ -114,9 +115,9 @@ let searched t core g phis =
     phis
 
 (* All matches of every derivation against one source graph, from
-   scratch. The search runs the same access methods as the engine
-   (feasible-mate retrieval, greedy order, Algorithm 4.1 search) but
-   keeps the phi arrays — the incremental path's working state. *)
+   scratch, through the engine — without refinement, which would only
+   prune what the search rejects anyway. Keeps the phi arrays: the
+   incremental path's working state. *)
 let eval_graph t ?(metrics = M.disabled) ?(indexes = fun _ -> None) g =
   let label_index, profile_index =
     match indexes g with
@@ -127,12 +128,12 @@ let eval_graph t ?(metrics = M.disabled) ?(indexes = fun _ -> None) g =
     (List.map
        (fun p ->
          let core = p.Rpq.core in
-         let space =
-           Feasible.compute ~metrics ?label_index ?profile_index core g
+         let r =
+           Engine.run
+             ~strategy:{ Engine.optimized with refine = false }
+             ~metrics ?label_index ?profile_index core g
          in
-         let order = Order.greedy core ~sizes:(Feasible.sizes space) in
-         let o = Search.run ~exhaustive:true ~metrics ~order core g space in
-         searched t core g o.Search.mappings)
+         searched t core g r.Engine.outcome.Search.mappings)
        t.v_patterns)
 
 (* Canonical materialization order: derivation-major, then source

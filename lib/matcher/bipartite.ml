@@ -153,19 +153,3 @@ let kuhn_packed ~nl ~nr ~stride rows =
     if try_augment l then incr size
   done;
   !size
-
-let semi_perfect_packed ~nl ~nr ~stride rows =
-  nr >= nl
-  && (let ok = ref true in
-      let l = ref 0 in
-      while !ok && !l < nl do
-        let base = !l * stride in
-        let any = ref false in
-        for wi = 0 to stride - 1 do
-          if Array.unsafe_get rows (base + wi) <> 0 then any := true
-        done;
-        if not !any then ok := false;
-        incr l
-      done;
-      !ok)
-  && kuhn_packed ~nl ~nr ~stride rows = nl

@@ -83,9 +83,6 @@ val n_words : t -> int
 val get_word : t -> int -> int
 (** [get_word t wi]: word [wi] (unchecked). *)
 
-val iter_words : t -> (int -> int -> unit) -> unit
-(** [iter_words t f] calls [f wi word] for every word, in order. *)
-
 val last_word_mask : t -> int
 (** Mask of in-capacity bits of the final word (-1 when full). *)
 

@@ -75,30 +75,20 @@ let join_gamma model p ~in_set u =
   if Graph.directed g then Array.iter visit (Graph.in_neighbors g u);
   !acc
 
-let fold_order model p ~sizes order ~f ~init =
-  let k = Flat_pattern.size p in
-  let in_set = Array.make k false in
-  let acc = ref init in
-  let size = ref 1.0 in
+let order_cost model p ~sizes order =
+  let in_set = Array.make (Flat_pattern.size p) false in
+  let cost = ref 0.0 and size = ref 1.0 in
   Array.iteri
     (fun i u ->
       let su = float_of_int sizes.(u) in
       if i = 0 then size := su
       else begin
-        let cost = !size *. su in
-        let gamma = join_gamma model p ~in_set u in
-        acc := f !acc ~cost;
-        size := !size *. su *. gamma
+        cost := !cost +. (!size *. su);
+        size := !size *. su *. join_gamma model p ~in_set u
       end;
       in_set.(u) <- true)
     order;
-  (!acc, !size)
-
-let order_cost model p ~sizes order =
-  fst (fold_order model p ~sizes order ~init:0.0 ~f:(fun acc ~cost -> acc +. cost))
-
-let order_size model p ~sizes order =
-  snd (fold_order model p ~sizes order ~init:0.0 ~f:(fun acc ~cost:_ -> acc))
+  !cost
 
 (* est.(i) = estimated number of partial mappings alive after order
    position i — the "estimated" column the adaptive search and

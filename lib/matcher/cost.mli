@@ -56,9 +56,6 @@ val order_cost :
 (** [order_cost m p ~sizes order]: estimated total cost of matching the
     pattern nodes in the given order, [sizes.(u)] being |Φ(u)|. *)
 
-val order_size : model -> Flat_pattern.t -> sizes:int array -> int array -> float
-(** Estimated result size after the full order (for tests). *)
-
 val position_estimates :
   model -> Flat_pattern.t -> sizes:int array -> int array -> float array
 (** Per-position estimated partial-result cardinalities: entry [i] is

@@ -102,7 +102,7 @@ let greedy_from ?(model = Cost.Constant Cost.default_constant) p ~sizes
 
 (* Exact minimization for small patterns: depth-first over all
    permutations, carrying (cost so far, intermediate size) exactly as
-   Cost.fold_order does, pruning branches whose partial cost already
+   Cost.order_cost does, pruning branches whose partial cost already
    exceeds the best. 8! = 40320 prefixes is instant at k <= 8. A
    non-empty [prefix] pins the first positions — the adaptive search
    cannot move nodes it is already enumerating — and the minimization

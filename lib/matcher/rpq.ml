@@ -270,65 +270,69 @@ let shortest_walk ?(budget = Budget.unlimited) ?(metrics = M.disabled) c s ~src
 
 (* --- whole-pattern evaluation ---------------------------------------------- *)
 
-let filter_outcome ?budget ?(metrics = M.disabled) ?(exhaustive = true) ?limit
-    c p (o : Search.outcome) =
-  if p.segments = [] then o
-  else begin
-    let limit =
-      if exhaustive then limit
-      else Some (match limit with Some l -> min l 1 | None -> 1)
-    in
-    let stopped = ref o.Search.stopped in
-    let kept = ref [] in
-    let n = ref 0 in
-    let truncated = ref false in
-    (try
-       List.iter
-         (fun phi ->
-           (match limit with
-           | Some l when !n >= l ->
-             truncated := true;
-             raise Exit
-           | _ -> ());
-           let ok =
-             List.for_all
-               (fun s ->
-                 let ok, r =
-                   segment_holds ?budget ~metrics c s ~src:phi.(s.seg_src)
-                     ~dst:phi.(s.seg_dst)
-                 in
-                 (match r with
-                 | Budget.Exhausted | Budget.Hit_limit -> ()
-                 | r -> stopped := Budget.worst !stopped r);
-                 if Budget.final !stopped then raise Exit;
-                 ok)
-               p.segments
-           in
-           if ok then begin
-             kept := phi :: !kept;
-             incr n
-           end)
-         o.Search.mappings
-     with Exit -> ());
-    let stopped =
-      if !truncated then Budget.worst !stopped Budget.Hit_limit else !stopped
-    in
-    {
-      Search.mappings = List.rev !kept;
-      n_found = !n;
-      visited = o.Search.visited;
-      stopped;
-    }
-  end
+(* Keep the mappings whose segment checks all hold, then re-apply the
+   [exhaustive]/[limit] truncation the core run could not enforce. *)
+let filter_outcome ~budget ~metrics ~exhaustive ~limit c p
+    (o : Search.outcome) =
+  let limit =
+    if exhaustive then limit
+    else Some (match limit with Some l -> min l 1 | None -> 1)
+  in
+  let stopped = ref o.Search.stopped in
+  let kept = ref [] in
+  let n = ref 0 in
+  let truncated = ref false in
+  (try
+     List.iter
+       (fun phi ->
+         (match limit with
+         | Some l when !n >= l ->
+           truncated := true;
+           raise Exit
+         | _ -> ());
+         let ok =
+           List.for_all
+             (fun s ->
+               let ok, r =
+                 segment_holds ?budget ?metrics c s ~src:phi.(s.seg_src)
+                   ~dst:phi.(s.seg_dst)
+               in
+               (match r with
+               | Budget.Exhausted | Budget.Hit_limit -> ()
+               | r -> stopped := Budget.worst !stopped r);
+               if Budget.final !stopped then raise Exit;
+               ok)
+             p.segments
+         in
+         if ok then begin
+           kept := phi :: !kept;
+           incr n
+         end)
+       o.Search.mappings
+   with Exit -> ());
+  let stopped =
+    if !truncated then Budget.worst !stopped Budget.Hit_limit else !stopped
+  in
+  {
+    Search.mappings = List.rev !kept;
+    n_found = !n;
+    visited = o.Search.visited;
+    stopped;
+  }
 
-let run ?strategy ?(exhaustive = true) ?limit ?budget ?metrics ?ctx:c p g =
+let run ?strategy ?(exhaustive = true) ?limit ?budget ?metrics ?plans ?rows
+    ?ctx:c p g =
   match p.segments with
   | [] ->
-    (Engine.run ?strategy ~exhaustive ?limit ?budget ?metrics p.core g)
+    (Engine.run ?strategy ~exhaustive ?limit ?budget ?metrics ?plans ?rows
+       p.core g)
       .Engine.outcome
   | _ ->
     (* the core must run exhaustively: a mapping that fails its
        segments cannot count against the caller's limit *)
     let c = match c with Some c -> c | None -> ctx g in
-    let r = Engine.run ?strategy ~exhaustive:true ?budget ?metrics p.core g in
-    filter_outcome ?budget ?metrics ~exhaustive ?limit c p r.Engine.outcome
+    let r =
+      Engine.run ?strategy ~exhaustive:true ?budget ?metrics ?plans ?rows
+        p.core g
+    in
+    filter_outcome ~budget ~metrics ~exhaustive ~limit c p r.Engine.outcome

@@ -94,32 +94,21 @@ val shortest_walk :
 
 (** {1 Whole-pattern evaluation} *)
 
-val filter_outcome :
-  ?budget:Budget.t ->
-  ?metrics:Gql_obs.Metrics.t ->
-  ?exhaustive:bool ->
-  ?limit:int ->
-  ctx ->
-  pattern ->
-  Search.outcome ->
-  Search.outcome
-(** Keep the mappings whose segment checks all hold, then re-apply the
-    [exhaustive]/[limit] truncation that the core engine run could not
-    enforce (a core mapping may fail its segments, so the engine must
-    run exhaustively first). Used by {!run} and by the exec service's
-    caching selector. *)
-
 val run :
   ?strategy:Engine.strategy ->
   ?exhaustive:bool ->
   ?limit:int ->
   ?budget:Budget.t ->
   ?metrics:Gql_obs.Metrics.t ->
+  ?plans:Engine.plan_source ->
+  ?rows:Engine.row_source ->
   ?ctx:ctx ->
   pattern ->
   Graph.t ->
   Search.outcome
-(** Match the core with {!Engine.run}, then filter by segments. With no
-    segments this is exactly an engine run (limit pushed down); with
-    segments the core runs exhaustively and [exhaustive]/[limit] apply
-    after filtering. *)
+(** Match the core with {!Engine.run} (sources passed through), then
+    keep the mappings whose segment checks all hold. With no segments
+    this is exactly an engine run (limit pushed down); with segments
+    the core runs exhaustively and [exhaustive]/[limit] apply after
+    filtering — a core mapping failing its segments must not count
+    against the limit. *)

@@ -110,7 +110,7 @@ val run_raw :
 (** The primitive under {!run} and {!iter}: streams each mapping (array
     reused) and returns [(visited, stopped)] — [Hit_limit] when
     [on_match] returned [`Stop], [Exhausted] on a full exploration, a
-    budget reason otherwise. Used by [Parallel.search] to share a
+    budget reason otherwise. Used by {!Ws.search} to share a
     global hit count across domains. [root_range] restricts position 0
     to the candidate indices [lo, hi) — the slice primitive the
     adaptive engine re-plans between. *)

@@ -1,9 +1,9 @@
 (* Work-stealing parallel search.
 
-   The static slicing in [Parallel.search_static] partitions Φ(u₁) once
-   and hopes the slices are balanced; under a skewed Φ(u₁) (one hub
-   node owning almost the whole search tree) every domain but one goes
-   idle. Here each domain owns a {!Deque} of subtree tasks — a prefix
+   Static slicing (the bench's [search_static] baseline) partitions
+   Φ(u₁) once and hopes the slices are balanced; under a skewed Φ(u₁)
+   (one hub node owning almost the whole search tree) every domain but
+   one goes idle. Here each domain owns a {!Deque} of subtree tasks — a prefix
    assignment u₁…uⱼ ↦ v₁…vⱼ plus a candidate range at level j — and:
 
    - expands its own subtree depth-first, exactly like the sequential
@@ -21,8 +21,7 @@
      global pending-task count hits zero.
 
    Global ~limit, sibling cancellation, exception re-raise and
-   per-domain metrics behave exactly as in the static engine; see
-   Parallel's interface for the contract.
+   per-domain metrics: see the interface for the contract.
 
    Adaptive mode ([~adapt]) shares one plan — (order, back edges,
    per-position estimates, epoch) — through an Atomic. A task is bound
@@ -39,8 +38,6 @@
    depend on the suffix order. *)
 
 open Gql_graph
-
-let default_domains () = Domain.recommended_domain_count ()
 
 (* Everything a task needs to interpret its prefix and keep searching:
    immutable once built, shared via [Atomic.t plan]. *)
@@ -64,11 +61,6 @@ type task = {
    owner is popping its own backlog, without flooding the deque. *)
 let expose_target = 2
 
-let min_opt a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (min a b)
-
 type report = {
   r_replans : int;
   r_order : int array;  (* the final plan's order *)
@@ -76,13 +68,14 @@ type report = {
   r_estimates : float array;  (* its position estimates *)
 }
 
-let search ?domains ?order ?limit ?limit_per_domain
-    ?(budget = Budget.unlimited) ?(metrics = Gql_obs.Metrics.disabled) ?adapt
+let search ?domains ?order ?limit ?(budget = Budget.unlimited)
+    ?(metrics = Gql_obs.Metrics.disabled) ?adapt
     ?(model = Cost.Constant Cost.default_constant) ?report p g space =
   let module M = Gql_obs.Metrics in
   let k = Flat_pattern.size p in
   let n_domains =
-    max 1 (Option.value domains ~default:(default_domains ()))
+    max 1
+      (Option.value domains ~default:(Domain.recommended_domain_count ()))
   in
   let order =
     match order with
@@ -93,8 +86,8 @@ let search ?domains ?order ?limit ?limit_per_domain
   if k = 0 || n_domains = 1 then
     if adaptive then begin
       let r =
-        Adapt.run ?limit:(min_opt limit limit_per_domain) ~budget ~metrics
-          ?config:adapt ~model ~order p g space
+        Adapt.run ?limit ~budget ~metrics ?config:adapt ~model ~order p g
+          space
       in
       Option.iter
         (fun f ->
@@ -109,8 +102,7 @@ let search ?domains ?order ?limit ?limit_per_domain
       r.Adapt.outcome
     end
     else
-      Search.run ?limit:(min_opt limit limit_per_domain) ~budget ~metrics
-        ~order p g space
+      Search.run ?limit ~budget ~metrics ~order p g space
   else if
     Array.exists (fun c -> Array.length c = 0) space.Feasible.candidates
   then begin
@@ -221,10 +213,7 @@ let search ?domains ?order ?limit ?limit_per_domain
           incr n;
           results := Array.copy phi :: !results
         end;
-        let local_full =
-          match limit_per_domain with Some l -> !n >= l | None -> false
-        in
-        if (not accepted) || local_full then stop Budget.Hit_limit
+        if not accepted then stop Budget.Hit_limit
       in
       (* explore candidates [lo, hi) of order.(depth) under the prefix
          currently installed in phi/used *)

@@ -1,8 +1,7 @@
 (** Work-stealing parallel search engine.
 
-    Sits below {!Engine} so both the single-query pipeline and
-    {!Parallel.search} (which delegates here) can fan a search out
-    across OCaml 5 domains. Each domain owns a {!Deque} of subtree
+    Sits below {!Engine} so the single-query pipeline can fan a search
+    out across OCaml 5 domains. Each domain owns a {!Deque} of subtree
     tasks (prefix assignment + candidate range), expands depth-first
     with the shared {!Search.node_check}, lazily exposes the shallowest
     untouched siblings for thieves, and steals the shallowest pending
@@ -21,9 +20,6 @@
 
 open Gql_graph
 
-val default_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — no cap. *)
-
 type report = {
   r_replans : int;  (** re-plans applied across all domains *)
   r_order : int array;  (** the final shared plan's order *)
@@ -38,7 +34,6 @@ val search :
   ?domains:int ->
   ?order:int array ->
   ?limit:int ->
-  ?limit_per_domain:int ->
   ?budget:Budget.t ->
   ?metrics:Gql_obs.Metrics.t ->
   ?adapt:Adapt.config ->
@@ -48,8 +43,10 @@ val search :
   Graph.t ->
   Feasible.space ->
   Search.outcome
-(** Falls back to the sequential {!Search.run} when [domains <= 1] or
-    the pattern is empty ({!Adapt.run} instead when [adapt] is given).
+(** [domains] defaults to [Domain.recommended_domain_count ()], with no
+    cap. Falls back to the sequential {!Search.run} when [domains <= 1]
+    or the pattern is empty ({!Adapt.run} instead when [adapt] is
+    given).
 
     With [adapt], the current (order, back-edges, estimates) plan lives
     in an [Atomic]: workers profile their own descents per order

@@ -361,7 +361,7 @@ let with_span m name f =
 
 let span_count m = m.n_spans
 
-let merge ~into m =
+let merge_counts ~into m =
   if into.e && m.e then begin
     Array.iteri (fun i n -> into.counters.(i) <- into.counters.(i) + n) m.counters;
     for i = 0 to n_histograms - 1 do
@@ -377,7 +377,12 @@ let merge ~into m =
       into.d_runs.(i) <- into.d_runs.(i) + m.d_runs.(i);
       into.d_est.(i) <- into.d_est.(i) +. m.d_est.(i);
       into.d_act.(i) <- into.d_act.(i) +. m.d_act.(i)
-    done;
+    done
+  end
+
+let merge ~into m =
+  if into.e && m.e then begin
+    merge_counts ~into m;
     let off = into.n_spans in
     for id = 0 to m.n_spans - 1 do
       let parent =
@@ -480,67 +485,57 @@ let pp ppf m =
         rows
   end
 
-(* minimal JSON writer — names are library-controlled, but escape
-   anyway so an adversarial span name cannot break the document *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json m =
-  let buf = Buffer.create 1024 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let rec add_tree t =
-    addf "{\"name\":\"%s\",\"count\":%d,\"ms\":%.6g,\"children\":["
-      (json_escape t.s_name) t.s_count
-      (1000.0 *. t.s_total);
-    List.iteri
-      (fun i c ->
-        if i > 0 then addf ",";
-        add_tree c)
-      t.s_children;
-    addf "]}"
+  let rec tree t =
+    Json.Obj
+      [
+        ("name", Json.Str t.s_name);
+        ("count", Json.Int t.s_count);
+        ("ms", Json.Float (1000.0 *. t.s_total));
+        ("children", Json.List (List.map tree t.s_children));
+      ]
   in
-  addf "{\"schema\":\"gql-obs/v1\",\"enabled\":%b,\"spans\":[" m.e;
-  List.iteri
-    (fun i t ->
-      if i > 0 then addf ",";
-      add_tree t)
-    (span_forest m);
-  addf "],\"counters\":{";
-  List.iteri
-    (fun i c ->
-      if i > 0 then addf ",";
-      addf "\"%s\":%d" (counter_name c) (get m c))
-    all_counters;
-  addf "},\"histograms\":{";
-  let first = ref true in
-  List.iter
-    (fun h ->
-      match histo_summary m h with
-      | None -> ()
-      | Some s ->
-        if not !first then addf ",";
-        first := false;
-        addf
-          "\"%s\":{\"count\":%d,\"min\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"max\":%d,\"mean\":%.6g}"
-          (histogram_name h) s.count s.min s.p50 s.p90 s.p99 s.max s.mean)
-    all_histograms;
-  addf "},\"drift\":[";
-  List.iteri
-    (fun i (pos, runs, est, act) ->
-      if i > 0 then addf ",";
-      addf "{\"position\":%d,\"runs\":%d,\"estimated\":%.6g,\"actual\":%.6g}"
-        pos runs est act)
-    (drift m);
-  addf "]}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "gql-obs/v1");
+         ("enabled", Json.Bool m.e);
+         ("spans", Json.List (List.map tree (span_forest m)));
+         ( "counters",
+           Json.Obj
+             (List.map
+                (fun c -> (counter_name c, Json.Int (get m c)))
+                all_counters)
+         );
+         ( "histograms",
+           Json.Obj
+             (List.filter_map
+                (fun h ->
+                  Option.map
+                    (fun s ->
+                      ( histogram_name h,
+                        Json.Obj
+                          [
+                            ("count", Json.Int s.count);
+                            ("min", Json.Int s.min);
+                            ("p50", Json.Int s.p50);
+                            ("p90", Json.Int s.p90);
+                            ("p99", Json.Int s.p99);
+                            ("max", Json.Int s.max);
+                            ("mean", Json.Float s.mean);
+                          ] ))
+                    (histo_summary m h))
+                all_histograms) );
+         ( "drift",
+           Json.List
+             (List.map
+                (fun (pos, runs, est, act) ->
+                  Json.Obj
+                    [
+                      ("position", Json.Int pos);
+                      ("runs", Json.Int runs);
+                      ("estimated", Json.Float est);
+                      ("actual", Json.Float act);
+                    ])
+                (drift m)) );
+       ])

@@ -14,7 +14,7 @@
     maintain and flushing once per phase. Instances are single-domain;
     parallel workers each get their own (int refs, no atomics on the
     hot path) and the per-domain results are {!merge}d after the join —
-    the pattern [Parallel.search] uses. *)
+    the pattern [Gql_matcher.Ws.search] uses. *)
 
 (** {1 Counters} *)
 
@@ -140,11 +140,17 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 
 val span_count : t -> int
 
+val merge_counts : into:t -> t -> unit
+(** Add [m]'s counters, histograms and drift rows into [into] — not its
+    spans. A long-lived aggregate (the exec service's) folds every
+    finished job in with this, so its size stays constant however many
+    queries it has seen. No-op when either side is disabled. *)
+
 val merge : into:t -> t -> unit
-(** Add [m]'s counters and histograms into [into] and graft its span
-    forest under [into]'s currently open span. Used to fold per-domain
-    metrics back into the caller's after a parallel join. No-op when
-    either side is disabled. *)
+(** {!merge_counts}, plus graft [m]'s span forest under [into]'s
+    currently open span. Used to fold per-domain metrics back into the
+    caller's after a parallel join. No-op when either side is
+    disabled. *)
 
 (** {1 Reporting} *)
 

@@ -459,6 +459,65 @@ let test_watermark_read_your_writes () =
     (M.get (Service.metrics t) M.Exec_writes);
   Service.shutdown t
 
+(* ---- one pipeline: the aggregate's size and the per-query spans ---- *)
+
+let test_aggregate_keeps_no_spans () =
+  let g = named_graph "G" [ ("a", "A"); ("b", "B") ] [ (0, 1) ] in
+  let t = Service.create ~jobs:1 ~docs:[ ("D", [ g ]) ] () in
+  let run n =
+    for _ = 1 to n do
+      ignore (Service.submit t edge_query)
+    done;
+    Service.drain t
+  in
+  let outs = run 3 in
+  let spans_after_3 = M.span_count (Service.metrics t) in
+  let outs = outs @ run 30 in
+  Alcotest.(check int) "aggregate span count does not grow with N"
+    spans_after_3
+    (M.span_count (Service.metrics t));
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "each query keeps its own spans" true
+        (M.span_count o.Service.o_metrics > 0))
+    outs;
+  List.iter
+    (fun c ->
+      Alcotest.(check int)
+        (M.counter_name c ^ " sums over the queries")
+        (List.fold_left (fun acc o -> acc + M.get o.Service.o_metrics c) 0 outs)
+        (M.get (Service.metrics t) c))
+    M.all_counters;
+  Alcotest.(check int) "every query completed" 33
+    (M.get (Service.metrics t) M.Exec_queue_completed);
+  Service.shutdown t
+
+let span_names m =
+  let rec render trees =
+    String.concat ","
+      (List.map
+         (fun s ->
+           match s.M.s_children with
+           | [] -> s.M.s_name
+           | cs -> s.M.s_name ^ "(" ^ render cs ^ ")")
+         trees)
+  in
+  render (M.span_forest m)
+
+let test_span_names_match_direct () =
+  let g = named_graph "G" [ ("a", "A"); ("b", "B") ] [ (0, 1) ] in
+  let docs = [ ("D", [ g ]) ] in
+  let direct = M.create () in
+  ignore (Gql.run_query ~docs ~metrics:direct edge_query);
+  let t = Service.create ~jobs:1 ~docs () in
+  let o = Service.wait t (Service.submit t edge_query) in
+  Service.shutdown t;
+  Alcotest.(check string) "direct run: the paper's pipeline under flwr"
+    "flwr(match(retrieve,refine,order,search))" (span_names direct);
+  Alcotest.(check string) "cold service run: the same span forest"
+    (span_names direct)
+    (span_names o.Service.o_metrics)
+
 let suite =
   [
     Alcotest.test_case "lru eviction under byte budget" `Quick test_lru_eviction;
@@ -481,4 +540,8 @@ let suite =
       test_epoch_isolation;
     Alcotest.test_case "watermark gate gives read-your-writes" `Quick
       test_watermark_read_your_writes;
+    Alcotest.test_case "the aggregate keeps counters, not spans" `Quick
+      test_aggregate_keeps_no_spans;
+    Alcotest.test_case "service and direct runs share span names" `Quick
+      test_span_names_match_direct;
   ]

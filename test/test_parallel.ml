@@ -27,7 +27,9 @@ let test_parallel_equals_sequential () =
         Alcotest.(check int)
           (Printf.sprintf "size %d, %d domains" size domains)
           seq
-          (Parallel.count_matches ~domains p g))
+          (Engine.count_matches
+             ~strategy:{ Engine.optimized with search_domains = domains }
+             p g))
       [ 1; 2; 4 ]
   done
 
@@ -35,7 +37,7 @@ let test_parallel_search_partition () =
   let g = Test_graph.sample_g () in
   let p = Flat_pattern.clique [ "A"; "B"; "C" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
-  let out = Parallel.search ~domains:3 p g space in
+  let out = Ws.search ~domains:3 p g space in
   Alcotest.(check int) "one triangle found in parallel" 1 out.Search.n_found;
   Alcotest.(check bool)
     "exhausted" true
@@ -45,7 +47,7 @@ let test_empty_space () =
   let g = Test_graph.sample_g () in
   let p = Flat_pattern.clique [ "Z"; "Z" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
-  let out = Parallel.search ~domains:4 p g space in
+  let out = Ws.search ~domains:4 p g space in
   Alcotest.(check int) "no matches" 0 out.Search.n_found
 
 (* --- work-stealing engine ----------------------------------------------- *)
@@ -57,7 +59,7 @@ let test_ws_pre_cancelled () =
   let tok = Budget.token () in
   Budget.cancel tok;
   let budget = Budget.make ~cancel:tok () in
-  let out = Parallel.search ~domains:env_domains ~budget p g space in
+  let out = Ws.search ~domains:env_domains ~budget p g space in
   Alcotest.(check int) "nothing found" 0 out.Search.n_found;
   Alcotest.(check bool)
     "stopped by cancellation" true
@@ -68,7 +70,7 @@ let test_ws_expired_deadline () =
   let p = Flat_pattern.clique [ "A"; "B"; "C" ] in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
   let budget = Budget.make ~deadline_at:(Unix.gettimeofday () -. 5.0) () in
-  let out = Parallel.search ~domains:env_domains ~budget p g space in
+  let out = Ws.search ~domains:env_domains ~budget p g space in
   Alcotest.(check int) "nothing found" 0 out.Search.n_found;
   Alcotest.(check bool)
     "stopped by deadline" true
@@ -117,14 +119,10 @@ let test_static_engine_agrees () =
   let p = Queries.clique (Rng.create 32) ~labels ~size:3 in
   let space = Feasible.compute ~retrieval:`Node_attrs p g in
   let seq = Search.run p g space in
-  let ws = Parallel.search ~domains:env_domains p g space in
-  let static = Parallel.search_static ~domains:env_domains p g space in
+  let ws = Ws.search ~domains:env_domains p g space in
   Alcotest.(check (list (list int)))
     "work-stealing = sequential mapping set" (mapping_set seq)
-    (mapping_set ws);
-  Alcotest.(check (list (list int)))
-    "static slicing = sequential mapping set" (mapping_set seq)
-    (mapping_set static)
+    (mapping_set ws)
 
 let prop_ws_mapping_set =
   QCheck.Test.make
@@ -138,7 +136,7 @@ let prop_ws_mapping_set =
       let p = Flat_pattern.of_graph pg in
       let space = Feasible.compute ~retrieval:`Node_attrs p g in
       let seq = Search.run p g space in
-      let par = Parallel.search ~domains:env_domains p g space in
+      let par = Ws.search ~domains:env_domains p g space in
       mapping_set seq = mapping_set par)
 
 let prop_ws_limit_exact =
@@ -155,7 +153,7 @@ let prop_ws_limit_exact =
       let p = Flat_pattern.of_graph pg in
       let space = Feasible.compute ~retrieval:`Node_attrs p g in
       let seq = Search.run p g space in
-      let par = Parallel.search ~domains:env_domains ~limit:l p g space in
+      let par = Ws.search ~domains:env_domains ~limit:l p g space in
       let seq_set = mapping_set seq in
       par.Search.n_found = min l seq.Search.n_found
       && List.for_all (fun m -> List.mem m seq_set) (mapping_set par)
@@ -173,7 +171,7 @@ let prop_parallel_matches_oracle =
       let p = Flat_pattern.of_graph pg in
       let space = Feasible.compute ~retrieval:`Node_attrs p g in
       let seq = (Search.run p g space).Search.n_found in
-      let par = (Parallel.search ~domains:3 p g space).Search.n_found in
+      let par = (Ws.search ~domains:3 p g space).Search.n_found in
       seq = par)
 
 let suite =
